@@ -20,37 +20,47 @@ object Search {
                           elapsedNanos: Long)
 
   /** Column-level index over every column embedding of the lake, remembering
-    * which table owns each vector. findCandidates(s, τ) = tables owning a
-    * column with sim ≥ τ among the index's top-`probe` answers for s.
+    * which table owns each vector: column `c` belongs to table
+    * `tableIds(owner(c))`. findCandidates(s, τ) = tables owning a column with
+    * sim ≥ τ among the index's top-`probe` answers for s, in first-seen order.
     */
-  final class ColumnIndex(index: VectorIndex, owner: IndexedSeq[String]) {
+  final class ColumnIndex(index: VectorIndex, owner: Array[Int], tableIds: Array[String]) {
     def candidateTables(queryCols: IndexedSeq[Array[Float]], tau: Double,
                         probe: Int): IndexedSeq[String] = {
-      val out = mutable.LinkedHashSet[String]()
+      val seen = new java.util.BitSet(tableIds.length)
+      val out = IndexedSeq.newBuilder[String]
       queryCols.foreach { q =>
         index.search(q, probe).foreach { case (colId, sim) =>
-          if (sim >= tau) out += owner(colId)
+          if (sim >= tau) {
+            val t = owner(colId)
+            if (!seen.get(t)) { seen.set(t); out += tableIds(t) }
+          }
         }
       }
-      out.toIndexedSeq
+      out.result()
     }
     def memoryBytes: Long = index.memoryBytes
   }
 
   def buildColumnIndex(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
                        mkIndex: Int => VectorIndex): ColumnIndex = {
-    val dim   = lake.iterator.flatMap(_._2.headOption).next().length
-    val index = mkIndex(dim)
-    val owner = mutable.ArrayBuffer[String]()
+    require(lake.nonEmpty, "buildColumnIndex: the lake has no tables")
+    require(lake.exists(_._2.nonEmpty),
+      s"buildColumnIndex: none of the lake's ${lake.size} tables has a column")
+    val tableIds = lake.iterator.map(_._1).toArray
+    val seen = mutable.HashSet[String]()
+    tableIds.foreach(t => require(seen.add(t), s"buildColumnIndex: duplicate table id '$t'"))
+    val index = mkIndex(lake.iterator.flatMap(_._2.headOption).next().length)
+    val owner = new Array[Int](lake.iterator.map(_._2.size).sum)
     var id = 0
-    lake.foreach { case (tid, cols) =>
+    lake.iterator.zipWithIndex.foreach { case ((_, cols), t) =>
       cols.foreach { v =>
         index.add(id, v)
-        owner += tid
+        owner(id) = t
         id += 1
       }
     }
-    new ColumnIndex(index, owner.toIndexedSeq)
+    new ColumnIndex(index, owner, tableIds)
   }
 }
 

@@ -95,6 +95,40 @@ class SearchSpec extends AnyFunSuite {
     assert(cands.count(_.startsWith("g2")) == cands.size)
   }
 
+  test("candidateTables lists each owning table once, in first-seen order") {
+    val index = Search.buildColumnIndex(lake, d => new Hnsw(d, seed = 3))
+    // the same build again, read through the raw index
+    val raw = new Hnsw(16, seed = 3)
+    val owner = lake.flatMap { case (tid, cols) => cols.map(_ => tid) }
+    lake.flatMap(_._2).zipWithIndex.foreach { case (v, i) => raw.add(i, v) }
+    Seq("g0t0", "g5t3", "g7t9").foreach { qid =>
+      val expected = byId(qid).flatMap(q => raw.search(q, 64).collect {
+        case (c, sim) if sim >= 0.5 => owner(c)
+      }).distinct
+      assert(index.candidateTables(byId(qid), 0.5, probe = 64) == expected, qid)
+    }
+  }
+
+  test("buildColumnIndex rejects an empty lake with a clear message") {
+    val e = intercept[IllegalArgumentException](
+      Search.buildColumnIndex(IndexedSeq.empty, d => new Hnsw(d)))
+    assert(e.getMessage.contains("no tables"), e.getMessage)
+  }
+
+  test("buildColumnIndex rejects a lake without columns with a clear message") {
+    val empty = IndexedSeq("a" -> IndexedSeq.empty[Array[Float]], "b" -> IndexedSeq.empty[Array[Float]])
+    val e = intercept[IllegalArgumentException](
+      Search.buildColumnIndex(empty, d => new Hnsw(d)))
+    assert(e.getMessage.contains("none of the lake's 2 tables has a column"), e.getMessage)
+  }
+
+  test("buildColumnIndex rejects duplicate table ids, naming the id") {
+    val dup = lake.take(3) :+ ("g0t1" -> lake(5)._2)
+    val e = intercept[IllegalArgumentException](
+      Search.buildColumnIndex(dup, d => new Hnsw(d)))
+    assert(e.getMessage.contains("duplicate table id 'g0t1'"), e.getMessage)
+  }
+
   test("searcher handles a query table absent from the lake") {
     val rnd = new Random(9)
     val q = IndexedSeq.fill(3)(Linalg.normalize(Array.fill(16)(rnd.nextGaussian().toFloat)))
