@@ -20,9 +20,10 @@ object BenchContext {
     sys.env.get(name).map(_.toInt).getOrElse(default)
 
   // effectiveness benchmarks (Table 3) — also reused by Tables 4/5/8
-  lazy val santosSmall: Tables.T3Result = Tables.table3(Benchmarks.santosSmall, sparkOpt)
-  lazy val tusSmall: Tables.T3Result    = Tables.table3(Benchmarks.tusSmall, None)
-  lazy val tusLarge: Tables.T3Result    = Tables.table3(Benchmarks.tusLarge, None)
+  lazy val santosSmall: Experiments.Effectiveness =
+    Experiments.effectiveness(Benchmarks.santosSmall, sparkOpt)
+  lazy val tusSmall: Experiments.Effectiveness = Experiments.effectiveness(Benchmarks.tusSmall)
+  lazy val tusLarge: Experiments.Effectiveness = Experiments.effectiveness(Benchmarks.tusLarge)
 
   lazy val santosSmallEmbeddings: Seq[Experiments.Embedded] =
     Tables.allEmbeddings(santosSmall.lake, santosSmall.models)

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Tables
+import repro.exp.{Experiments, Tables}
 
 /** Figure 10 / §5.3 — query-time scalability of the four design choices as
   * the lake grows: SANTOS Large up to ~11k tables and a WDC-style sweep
@@ -18,14 +18,14 @@ class Fig10ScalabilityBench extends SparkSpec {
   test("Fig 10a: scalability on SANTOS Large") {
     val lake  = BenchContext.santosLargeLake
     val sizes = Seq(1000, 3000, lake.tables.size).distinct
-    val rows  = Tables.fig10(lake, BenchContext.santosLargeStarmie,
-                             k = 10, sizes = sizes, nQueries = 10)
+    val rows  = Experiments.scalability(lake, BenchContext.santosLargeStarmie,
+                                          k = 10, sizes = sizes, nQueries = 10)
     println("\n=== Fig 10a (measured, SANTOS Large) ===")
     println(Tables.renderFig10(rows))
 
     val nMax = sizes.max
     // HNSW beats linear by a large factor at full size
-    val speedup = timeOf(rows, nMax, "Linear") / math.max(0.01, timeOf(rows, nMax, "HNSW Index"))
+    val speedup = timeOf(rows, nMax, "Linear") / math.max(0.01, timeOf(rows, nMax, "HNSW"))
     println(f"HNSW speedup over Linear at $nMax tables: $speedup%.0f× (paper: 220×)")
     assert(speedup >= 5, s"HNSW speedup only $speedup×")
     // Linear grows with the lake
@@ -37,19 +37,19 @@ class Fig10ScalabilityBench extends SparkSpec {
   test("Fig 10b/c: scalability on the WDC-style sweep") {
     val lake  = BenchContext.wdcLake
     val sizes = Seq(lake.tables.size / 10, lake.tables.size / 3, lake.tables.size).distinct
-    val rows  = Tables.fig10(lake, BenchContext.wdcStarmie,
-                             k = 10, sizes = sizes, nQueries = 8)
+    val rows  = Experiments.scalability(lake, BenchContext.wdcStarmie,
+                                          k = 10, sizes = sizes, nQueries = 8)
     println(s"\n=== Fig 10b/c (measured, WDC-style, max ${lake.tables.size} tables) ===")
     println(Tables.renderFig10(rows))
 
     val nMin = sizes.min; val nMax = sizes.max
-    val hnswGrowth   = timeOf(rows, nMax, "HNSW Index") / math.max(0.01, timeOf(rows, nMin, "HNSW Index"))
+    val hnswGrowth   = timeOf(rows, nMax, "HNSW") / math.max(0.01, timeOf(rows, nMin, "HNSW"))
     val linearGrowth = timeOf(rows, nMax, "Linear") / math.max(0.01, timeOf(rows, nMin, "Linear"))
     println(f"growth $nMin→$nMax tables: Linear ${linearGrowth}%.1f×, HNSW ${hnswGrowth}%.1f×")
     // HNSW query time is far flatter than Linear's as the lake grows
     assert(hnswGrowth < linearGrowth,
       s"HNSW growth $hnswGrowth should be flatter than Linear $linearGrowth")
-    val speedup = timeOf(rows, nMax, "Linear") / math.max(0.01, timeOf(rows, nMax, "HNSW Index"))
+    val speedup = timeOf(rows, nMax, "Linear") / math.max(0.01, timeOf(rows, nMax, "HNSW"))
     println(f"HNSW speedup over Linear at $nMax tables: $speedup%.0f×")
     assert(speedup >= 10, s"HNSW speedup only $speedup× at $nMax tables")
   }

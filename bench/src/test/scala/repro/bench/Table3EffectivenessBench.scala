@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Tables
+import repro.exp.{Experiments, Tables}
 
 /** Table 3 — MAP@k and R@k of all six methods on the three effectiveness
   * benchmarks (k=10 on SANTOS Small, k=60 on both TUS benchmarks).
@@ -18,7 +18,7 @@ import repro.exp.Tables
   */
 class Table3EffectivenessBench extends SparkSpec {
 
-  private def mapOf(res: Tables.T3Result, method: String): Double =
+  private def mapOf(res: Experiments.Effectiveness, method: String): Double =
     res.rows.find(_.method == method).get.map
 
   test("Table 3: effectiveness on all three benchmarks") {

@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.Metrics
-import repro.exp.Tables
+import repro.exp.{Experiments, Tables}
 
 /** Table 4 — micro-benchmark: Starmie MAP on 470-table lakes with 25%
   * positives and 2–9 negative classes (drawn from TUS Small templates).
@@ -13,8 +13,8 @@ import repro.exp.Tables
 class Table4NegClassesBench extends SparkSpec {
 
   test("Table 4: effect of the number of negative classes") {
-    val rows = Tables.table4(BenchContext.tusSmall.lake,
-                             BenchContext.tusSmall.models.feat)
+    val rows = Experiments.negativeClasses(BenchContext.tusSmall.lake,
+                                           BenchContext.tusSmall.models.feat)
     println("\n=== Table 4 (measured) ===")
     println(Tables.renderT4(rows))
 

@@ -26,7 +26,7 @@ class Table6MemoryBench extends SparkSpec {
     val enc  = new StarmieEncoder(feat,
       Linalg.randomMatrix(128, feat.cfg.contextDim, 3))
     val emb  = Experiments.embedLake(lake, enc)
-    val rows = Tables.table6(lake, emb)
+    val rows = Experiments.memoryOverhead(lake, emb)
     println(s"\nCorpus: ${lake.tables.size} tables, ${lake.totalColumns} columns, " +
             f"avg rows ${lake.avgRows}%.0f")
     println("\n=== Table 6 (measured) ===")

@@ -6,13 +6,13 @@ import repro.exp.{Experiments, Tables}
 import repro.lake.{Benchmarks, LakeGen}
 
 /** spark-submit entrypoints, one per paper table / figure. Each wraps the
-  * same driver functions the bench suites assert on (repro.exp.Tables).
+  * same driver functions the bench suites assert on (repro.exp).
   *
   *   spark-submit --class repro.jobs.Table3Effectiveness repro.jar
   */
 object JobUtil {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
@@ -33,7 +33,7 @@ object Table3Effectiveness {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table3")
     try {
-      val results = Benchmarks.effectiveness.map(p => Tables.table3(p, Some(spark)))
+      val results = Benchmarks.effectiveness.map(p => Experiments.effectiveness(p, Some(spark)))
       println(Tables.renderT3(results))
     } finally spark.stop()
   }
@@ -43,8 +43,8 @@ object Table4NegClasses {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table4")
     try {
-      val res = Tables.table3(Benchmarks.tusSmall, None)
-      println(Tables.renderT4(Tables.table4(res.lake, res.models.feat)))
+      val res = Experiments.effectiveness(Benchmarks.tusSmall)
+      println(Tables.renderT4(Experiments.negativeClasses(res.lake, res.models.feat)))
     } finally spark.stop()
   }
 }
@@ -53,7 +53,7 @@ object Table5DesignChoices {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table5")
     try {
-      val res = Tables.table3(Benchmarks.santosSmall, Some(spark))
+      val res = Experiments.effectiveness(Benchmarks.santosSmall, Some(spark))
       val emb = Experiments.embedLake(res.lake, res.models.starmie)
       println(Tables.renderT58(Tables.table58(res.lake, Seq(emb), res.profile.k)))
     } finally spark.stop()
@@ -68,7 +68,7 @@ object Table6Memory {
       val lake    = LakeGen.generate(profile.cfg)
       val models  = Experiments.trainModels(lake, profile)
       val emb     = Experiments.embedLake(lake, models.starmie)
-      println(Tables.renderT6(lake.sizeBytes / 1e6, Tables.table6(lake, emb)))
+      println(Tables.renderT6(lake.sizeBytes / 1e6, Experiments.memoryOverhead(lake, emb)))
     } finally spark.stop()
   }
 }
@@ -90,7 +90,7 @@ object Table8FullEfficiency {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table8")
     try {
-      val res  = Tables.table3(Benchmarks.santosSmall, Some(spark))
+      val res  = Experiments.effectiveness(Benchmarks.santosSmall, Some(spark))
       val embs = Tables.allEmbeddings(res.lake, res.models)
       println(Tables.renderT58(Tables.table58(res.lake, embs, res.profile.k)))
     } finally spark.stop()
@@ -123,7 +123,7 @@ object Fig10Scalability {
       val models  = Experiments.trainModels(lake, profile)
       val emb     = Experiments.embedLake(lake, models.starmie)
       val sizes   = Seq(1000, 3000, lake.tables.size).distinct
-      println(Tables.renderFig10(Tables.fig10(lake, emb, 10, sizes, 10)))
+      println(Tables.renderFig10(Experiments.scalability(lake, emb, 10, sizes, 10)))
     } finally spark.stop()
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{TableData, Tokenizer}
+import repro.core.TableData
 import repro.lake.LakeGen.Lake
 import scala.util.Random
 
@@ -36,15 +36,15 @@ final class SantosLike(classesOf: TableData => IndexedSeq[Option[String]]) {
   }
 
   /** SANTOS unionability score between two (annotated) tables. */
-  def score(q: TableData, t: TableData): Double = {
-    val qc = classMultiset(q); val tc = classMultiset(t)
-    val colMatch = qc.iterator.map { case (c, n) => math.min(n, tc.getOrElse(c, 0)) }.sum
-    val relMatch = relationships(q).intersect(relationships(t)).size
-    colMatch + relMatch.toDouble
-  }
+  def score(q: TableData, t: TableData): Double =
+    score(classMultiset(q), relationships(q), classMultiset(t), relationships(t))
 
-  def query(q: TableData, lake: IndexedSeq[TableData], k: Int): IndexedSeq[(String, Double)] =
-    lake.map(t => t.id -> score(q, t)).sortBy(-_._2).take(k)
+  /** Matched column classes plus matched binary relationships. */
+  private def score(qc: Map[String, Int], qr: Set[(String, String)],
+                    tc: Map[String, Int], tr: Set[(String, String)]): Double = {
+    val colMatch = qc.iterator.map { case (c, n) => math.min(n, tc.getOrElse(c, 0)) }.sum
+    colMatch + qr.intersect(tr).size.toDouble
+  }
 
   /** Lake searcher with per-table annotations precomputed once. */
   final class Searcher(lake: IndexedSeq[TableData]) {
@@ -54,10 +54,7 @@ final class SantosLike(classesOf: TableData => IndexedSeq[Option[String]]) {
     def query(q: TableData, k: Int): IndexedSeq[(String, Double)] = {
       val qc = classMultiset(q)
       val qr = relationships(q)
-      cache.map { case (tid, tc, tr) =>
-        val colMatch = qc.iterator.map { case (c, n) => math.min(n, tc.getOrElse(c, 0)) }.sum
-        tid -> (colMatch + qr.intersect(tr).size.toDouble)
-      }.sortBy(-_._2).take(k)
+      cache.map { case (tid, tc, tr) => tid -> score(qc, qr, tc, tr) }.sortBy(-_._2).take(k)
     }
   }
 }

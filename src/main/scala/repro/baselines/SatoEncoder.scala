@@ -22,7 +22,7 @@ final class SatoEncoder(feat: Featurizer, sherlock: SherlockEncoder,
 
   def encodeTable(t: TableData): IndexedSeq[Array[Float]] = {
     val typePred = sherlock.encodeTable(t)
-    val topic    = topicFeat.hashedTokens(t.columns.flatMap(_.tokens))
+    val topic    = topicFeat.tableTopic(t)
     typePred.map { tp =>
       val out = new Array[Float](dim)
       var i = 0

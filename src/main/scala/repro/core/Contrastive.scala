@@ -38,7 +38,7 @@ object Contrastive {
     */
   def loss(z: IndexedSeq[Array[Float]], positives: Seq[(Int, Int)], tau: Double): Double = {
     if (positives.isEmpty) return 0.0
-    val s = simMatrix(z)
+    val s = Matching.simMatrix(z, z)
     val directed = positives.flatMap { case (i, j) => Seq((i, j), (j, i)) }
     val total = directed.iterator.map { case (i, j) =>
       var denom = 0.0
@@ -52,18 +52,6 @@ object Contrastive {
     total / directed.size
   }
 
-  private def simMatrix(z: IndexedSeq[Array[Float]]): Array[Array[Double]] = {
-    val n = z.size
-    val s = Array.ofDim[Double](n, n)
-    var i = 0
-    while (i < n) {
-      var j = 0
-      while (j < n) { s(i)(j) = Linalg.dot(z(i), z(j)).toDouble; j += 1 }
-      i += 1
-    }
-    s
-  }
-
   /** One SGD step on W for a batch of inputs `xs` with `positives`.
     * Returns the batch loss. W is updated in place. When `w0` is given,
     * an L2 anchor `anchor·‖W−W₀‖²/2` is added to the objective.
@@ -75,7 +63,7 @@ object Contrastive {
     val n  = xs.size
     val us = xs.map(Linalg.matVec(w, _))
     val zs = us.map(Linalg.normalized)
-    val s  = simMatrix(zs)
+    val s  = Matching.simMatrix(zs, zs)
 
     val directed = positives.flatMap { case (i, j) => Seq((i, j), (j, i)) }
     val scale    = 1.0 / directed.size

@@ -42,10 +42,6 @@ final class SingleColEncoder(feat: Featurizer, w: Array[Array[Float]])
 
 object Encoder {
 
-  /** Driver-side inference over a corpus: tableId -> per-column embeddings. */
-  def embedAll(tables: Seq[TableData], enc: ColumnEncoder): Map[String, IndexedSeq[Array[Float]]] =
-    tables.iterator.map(t => t.id -> enc.encodeTable(t)).toMap
-
   /** Spark inference pipeline (the offline "model inference" stage of
     * Figure 2): cell-level corpus DataFrame → one row per column with its
     * embedding. The encoder (with its trained weights) is shipped to the

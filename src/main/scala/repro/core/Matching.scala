@@ -7,14 +7,19 @@ package repro.core
 object Matching {
 
   /** Cosine similarity matrix between two embedding lists (|S| × |T|).
-    * Embeddings are already L2-normalized, so dot = cosine.
+    * Embeddings are already L2-normalized, so dot = cosine. Both training
+    * (NT-Xent over `Vector` batches) and search (lake `ArraySeq`s) call this,
+    * so the inner loop reads `t` through a plain array: collection calls there
+    * would be compiled for training's classes first and slow search down.
     */
   def simMatrix(s: IndexedSeq[Array[Float]], t: IndexedSeq[Array[Float]]): Array[Array[Double]] = {
-    val m = Array.ofDim[Double](s.size, t.size)
+    val ts = t.toArray
+    val m  = Array.ofDim[Double](s.size, ts.length)
     var i = 0
-    while (i < s.size) {
+    while (i < m.length) {
+      val si = s(i); val mi = m(i)
       var j = 0
-      while (j < t.size) { m(i)(j) = Linalg.dot(s(i), t(j)).toDouble; j += 1 }
+      while (j < ts.length) { mi(j) = Linalg.dot(si, ts(j)).toDouble; j += 1 }
       i += 1
     }
     m

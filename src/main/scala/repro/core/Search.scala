@@ -42,14 +42,19 @@ object Search {
     def memoryBytes: Long = index.memoryBytes
   }
 
+  /** Fails with a message that names the first repeated table id. */
+  private[core] def requireDistinctIds(ids: Iterator[String], caller: String): Unit = {
+    val seen = mutable.HashSet[String]()
+    ids.foreach(t => require(seen.add(t), s"$caller: duplicate table id '$t'"))
+  }
+
   def buildColumnIndex(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
                        mkIndex: Int => VectorIndex): ColumnIndex = {
     require(lake.nonEmpty, "buildColumnIndex: the lake has no tables")
     require(lake.exists(_._2.nonEmpty),
       s"buildColumnIndex: none of the lake's ${lake.size} tables has a column")
     val tableIds = lake.iterator.map(_._1).toArray
-    val seen = mutable.HashSet[String]()
-    tableIds.foreach(t => require(seen.add(t), s"buildColumnIndex: duplicate table id '$t'"))
+    requireDistinctIds(tableIds.iterator, "buildColumnIndex")
     val index = mkIndex(lake.iterator.flatMap(_._2.headOption).next().length)
     val owner = new Array[Int](lake.iterator.map(_._2.size).sum)
     var id = 0
@@ -71,6 +76,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
                           tau: Double) {
   import Search._
 
+  requireDistinctIds(lake.iterator.map(_._1), "UnionSearcher")
   private val byId: Map[String, IndexedSeq[Array[Float]]] = lake.toMap
 
   // Deterministic total order on (tableId, score): score descending, id

@@ -13,10 +13,6 @@ object Tokenizer {
     if (cell == null) Seq.empty
     else cell.toLowerCase.split("[^0-9a-z]+").iterator.filter(_.nonEmpty).toSeq
 
-  /** Tokenize every cell of a column, concatenated in row order. */
-  def tokenizeColumn(values: Seq[String]): Seq[String] =
-    values.flatMap(tokenize)
-
   /** True if the cell parses as a number (int or decimal, optional sign). */
   def isNumeric(cell: String): Boolean =
     cell != null && cell.nonEmpty && cell.matches("[+-]?\\d+(\\.\\d+)?")

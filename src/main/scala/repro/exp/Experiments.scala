@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.index.{Hnsw, LinearIndex, SimHashLsh, VectorIndex}
+import repro.index.{Hnsw, SimHashLsh}
 import repro.lake.Benchmarks.Profile
 import repro.lake.LakeGen
 import repro.lake.LakeGen.Lake
@@ -14,8 +14,13 @@ import repro.baselines._
   */
 object Experiments {
 
-  /** Edge threshold τ for the bipartite graph (§4.1); tuned on a held-out
-    * tiny lake (see jobs/TuneStarmie.scala).
+  /** Edge threshold τ for the bipartite graph (§4.1), set by hand from two
+    * MAP@k sweeps: jobs/TuneStarmie.scala swept τ ∈ {0.5, 0.6} together with
+    * the encoder's learning rate, steps, anchor weight and dropout on a
+    * held-out tiny lake (8 templates × 8 tables), and jobs/ProbeTau.scala
+    * swept τ alone over 0.35–0.60 in steps of 0.05 on 30 santosSmall
+    * queries, the grid 0.45 comes from. Commit 53129aa is the last one with
+    * both mains.
     */
   val DefaultTau = 0.45
 
@@ -67,46 +72,40 @@ object Experiments {
 
   // ---- online stage --------------------------------------------------------
 
-  sealed trait Mode { def name: String }
-  case object Linear  extends Mode { val name = "Linear" }
-  case object Pruning extends Mode { val name = "Pruning" }
-  case object Lsh     extends Mode { val name = "LSH Index" }
-  case object HnswIdx extends Mode { val name = "HNSW Index" }
+  /** The four design choices of Table 5 / Fig 10; `name` is the technique
+    * label every rendered table shows.
+    */
+  sealed abstract class Mode(val name: String)
+  case object Linear  extends Mode("Linear")
+  case object Pruning extends Mode("Pruning")
+  case object Lsh     extends Mode("LSH")
+  case object HnswIdx extends Mode("HNSW")
+  val Modes: Seq[Mode] = Seq(Linear, Pruning, Lsh, HnswIdx)
 
-  def buildIndex(emb: Embedded, mode: Mode, seed: Long = 7): Option[Search.ColumnIndex] = mode match {
-    case Lsh =>
-      Some(Search.buildColumnIndex(emb.lake, d => new SimHashLsh(d, seed = seed)))
-    case HnswIdx =>
-      Some(Search.buildColumnIndex(emb.lake, d => new Hnsw(d, seed = seed)))
-    case _ => None
+  def buildIndex(emb: Embedded, mode: Mode): Option[Search.ColumnIndex] = mode match {
+    case Lsh     => Some(Search.buildColumnIndex(emb.lake, d => new SimHashLsh(d, seed = 7)))
+    case HnswIdx => Some(Search.buildColumnIndex(emb.lake, d => new Hnsw(d, seed = 7)))
+    case _       => None
+  }
+
+  /** The one search-mode dispatch: answers query `q` under `mode`, using the
+    * index `buildIndex` made for that mode.
+    */
+  private def query(searcher: UnionSearcher, mode: Mode, index: Option[Search.ColumnIndex],
+                    q: IndexedSeq[Array[Float]], k: Int): Search.Result = mode match {
+    case Linear        => searcher.queryLinear(q, k)
+    case Pruning       => searcher.queryPruning(q, k)
+    case Lsh | HnswIdx => searcher.queryWithIndex(q, k, index.get)
   }
 
   /** Evaluate one embedding-based method on a lake under a search mode. */
-  def evalEmbedding(lake: Lake, emb: Embedded, k: Int, mode: Mode,
-                    tau: Double = DefaultTau,
-                    queries: Option[IndexedSeq[String]] = None): EvalRow = {
-    val searcher = new UnionSearcher(emb.lake, tau)
+  def evalEmbedding(lake: Lake, emb: Embedded, k: Int, mode: Mode): EvalRow = {
+    val searcher = new UnionSearcher(emb.lake, DefaultTau)
     val index    = buildIndex(emb, mode)
-    val qs       = queries.getOrElse(lake.queries)
-    val perQuery = qs.map { qid =>
-      val qEmb = emb.byId(qid)
-      val res = mode match {
-        case Linear  => searcher.queryLinear(qEmb, k)
-        case Pruning => searcher.queryPruning(qEmb, k)
-        case _       => searcher.queryWithIndex(qEmb, k, index.get)
-      }
-      val gt = lake.groundTruth(qid)
-      (res, gt)
-    }
-    summarize(lake.name, emb.method + modeSuffix(mode), k, perQuery.map {
-      case (res, gt) => (res.ranked.map(_._1), gt, res.elapsedNanos, res.verifications)
+    summarize(lake.name, emb.method, k, lake.queries.map { qid =>
+      val res = query(searcher, mode, index, emb.byId(qid), k)
+      (res.ranked.map(_._1), lake.groundTruth(qid), res.elapsedNanos, res.verifications)
     })
-  }
-
-  private def modeSuffix(mode: Mode): String = mode match {
-    case Pruning => "" // default exact mode — same results as Linear
-    case Linear  => ""
-    case m       => s"+${m.name}"
   }
 
   /** Evaluate the D3L baseline (its own pairwise scorer, linear scan). */
@@ -146,31 +145,28 @@ object Experiments {
 
   // ---- composite experiments ----------------------------------------------
 
-  /** Table 3: all six methods on one effectiveness benchmark. */
+  /** Table 3: all six methods on one effectiveness benchmark, with the lake
+    * and models that Tables 4, 5 and 8 reuse.
+    */
+  final case class Effectiveness(profile: Profile, lake: Lake, models: LakeModels,
+                                 rows: Seq[EvalRow])
+
   def effectiveness(profile: Profile, spark: Option[SparkSession] = None,
                     trainCfg: Contrastive.TrainConfig = Contrastive.TrainConfig())
-      : (Lake, LakeModels, Seq[EvalRow]) = {
+      : Effectiveness = {
     val lake   = LakeGen.generate(profile.cfg)
     val models = trainModels(lake, profile, trainCfg)
     val k      = profile.k
-    val rows = scala.collection.mutable.ArrayBuffer[EvalRow]()
-    rows += evalEmbedding(lake, embedLake(lake, models.singleCol, spark), k, Pruning)
-    rows += evalEmbedding(lake, embedLake(lake, models.sato, spark), k, Pruning)
-    rows += evalEmbedding(lake, embedLake(lake, models.sherlock, spark), k, Pruning)
-    if (profile.santosAvailable) rows += evalSantos(lake, k, profile.santosKbCoverage)
-    rows += evalD3L(lake, k)
-    rows += evalEmbedding(lake, embedLake(lake, models.starmie, spark), k, Pruning)
-    (lake, models, rows.toSeq)
+    def exact(enc: ColumnEncoder) = evalEmbedding(lake, embedLake(lake, enc, spark), k, Pruning)
+    val rows = Seq(exact(models.singleCol), exact(models.sato), exact(models.sherlock)) ++
+      (if (profile.santosAvailable) Seq(evalSantos(lake, k, profile.santosKbCoverage)) else Nil) ++
+      Seq(evalD3L(lake, k), exact(models.starmie))
+    Effectiveness(profile, lake, models, rows)
   }
 
   /** Tables 5/8: the four design choices for a given embedding. */
-  def designChoices(lake: Lake, emb: Embedded, k: Int): Seq[EvalRow] =
-    Seq(
-      evalEmbedding(lake, emb, k, Linear).copy(method = s"${emb.method}/Linear"),
-      evalEmbedding(lake, emb, k, Pruning).copy(method = s"${emb.method}/Pruning"),
-      evalEmbedding(lake, emb, k, Lsh).copy(method = s"${emb.method}/LSH"),
-      evalEmbedding(lake, emb, k, HnswIdx).copy(method = s"${emb.method}/HNSW"),
-    )
+  def designChoices(lake: Lake, emb: Embedded, k: Int): Seq[(Mode, EvalRow)] =
+    Modes.map(mode => mode -> evalEmbedding(lake, emb, k, mode))
 
   /** Table 4: MAP vs number of negative classes on micro-lakes. The encoder
     * is re-trained *on each micro-lake* — that is the experiment's point:
@@ -186,8 +182,8 @@ object Experiments {
       val micro = LakeGen.microLake(base, c)
       val w     = Contrastive.trainMultiColumn(micro.tables, feat, trainCfg)
       val microEmb = embedLake(micro, new StarmieEncoder(feat, w))
-      val r60  = evalEmbedding(micro, microEmb, 60, Pruning, queries = Some(micro.queries))
-      val r120 = evalEmbedding(micro, microEmb, 120, Pruning, queries = Some(micro.queries))
+      val r60  = evalEmbedding(micro, microEmb, 60, Pruning)
+      val r120 = evalEmbedding(micro, microEmb, 120, Pruning)
       (c, r60.map, r120.map)
     }
   }
@@ -197,8 +193,8 @@ object Experiments {
   def memoryOverhead(lake: Lake, emb: Embedded): Seq[MemoryRow] = {
     val dim = emb.lake.head._2.head.length
     val embBytes = lake.totalColumns.toLong * dim * 4L
-    val lsh  = Search.buildColumnIndex(emb.lake, d => new SimHashLsh(d))
-    val hnsw = Search.buildColumnIndex(emb.lake, d => new Hnsw(d))
+    val lsh  = buildIndex(emb, Lsh).get
+    val hnsw = buildIndex(emb, HnswIdx).get
     val lakeBytes = lake.sizeBytes.toDouble
     Seq(
       MemoryRow("No Index", embBytes, 100.0 * embBytes / lakeBytes),
@@ -219,17 +215,10 @@ object Experiments {
       // every query must be present in the sub-lake
       val subLake = subset ++ queries.filterNot(subsetIds.contains).map(q => q -> emb.byId(q))
       val subEmb  = Embedded(emb.method, subLake)
-      Seq(Linear, Pruning, Lsh, HnswIdx).map { mode =>
-        val searcher = new UnionSearcher(subEmb.lake, DefaultTau)
-        val index    = buildIndex(subEmb, mode)
-        val results = queries.map { qid =>
-          val qEmb = emb.byId(qid)
-          mode match {
-            case Linear  => searcher.queryLinear(qEmb, k)
-            case Pruning => searcher.queryPruning(qEmb, k)
-            case _       => searcher.queryWithIndex(qEmb, k, index.get)
-          }
-        }
+      val searcher = new UnionSearcher(subEmb.lake, DefaultTau)
+      Modes.map { mode =>
+        val index   = buildIndex(subEmb, mode)
+        val results = queries.map(qid => query(searcher, mode, index, emb.byId(qid), k))
         val ms  = results.map(_.elapsedNanos.toDouble / 1e6)
         val ver = results.map(_.verifications.toDouble)
         (n, mode.name, Metrics.mean(ms), Metrics.mean(ver))

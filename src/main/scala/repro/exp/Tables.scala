@@ -3,14 +3,15 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.cluster.ColumnClustering
 import repro.core._
-import repro.lake.{Benchmarks, LakeGen}
+import repro.lake.LakeGen
 import repro.lake.Benchmarks.Profile
 import repro.lake.LakeGen.Lake
 import repro.ml.DataDiscoveryML
 
-/** One driver per paper table. Each returns structured rows (asserted by the
-  * bench suites) plus a pretty renderer (printed by bench suites and jobs/
-  * mains alike), so bench output and spark-submit output share a code path.
+/** One renderer per paper table (printed by bench suites and jobs/ mains
+  * alike, so bench output and spark-submit output share a code path), plus
+  * the row builders of Tables 2, 5/8, 7 and 10. The other tables render the
+  * rows that [[Experiments]] returns directly.
   */
 object Tables {
 
@@ -35,16 +36,7 @@ object Tables {
 
   // ---- Table 3: effectiveness ----------------------------------------------
 
-  final case class T3Result(profile: Profile, lake: Lake,
-                            models: Experiments.LakeModels,
-                            rows: Seq[Experiments.EvalRow])
-
-  def table3(profile: Profile, spark: Option[SparkSession]): T3Result = {
-    val (lake, models, rows) = Experiments.effectiveness(profile, spark)
-    T3Result(profile, lake, models, rows)
-  }
-
-  def renderT3(results: Seq[T3Result]): String = {
+  def renderT3(results: Seq[Experiments.Effectiveness]): String = {
     val sb = new StringBuilder
     sb ++= "| Benchmark | Method | MAP@k | R@k | IDEAL R@k | k |\n|---|---|---|---|---|---|\n"
     results.foreach { res =>
@@ -56,9 +48,6 @@ object Tables {
   }
 
   // ---- Table 4: negative-class micro-benchmark -----------------------------
-
-  def table4(base: Lake, feat: Featurizer): Seq[(Int, Double, Double)] =
-    Experiments.negativeClasses(base, feat)
 
   def renderT4(rows: Seq[(Int, Double, Double)]): String =
     ("| # Negative Classes | MAP@60 | MAP@120 |" :: "|---|---|---|" ::
@@ -73,9 +62,8 @@ object Tables {
   /** For each named embedding, run the four design choices. */
   def table58(lake: Lake, embeddings: Seq[Experiments.Embedded], k: Int): Seq[T58Row] =
     embeddings.flatMap { emb =>
-      Experiments.designChoices(lake, emb, k).map { row =>
-        val technique = row.method.split('/').last
-        T58Row(emb.method, technique, row.map, row.p, row.r, row.avgQueryMillis)
+      Experiments.designChoices(lake, emb, k).map { case (mode, row) =>
+        T58Row(emb.method, mode.name, row.map, row.p, row.r, row.avgQueryMillis)
       }
     }
 
@@ -87,9 +75,6 @@ object Tables {
       .mkString("\n")
 
   // ---- Table 6: memory overhead ---------------------------------------------
-
-  def table6(lake: Lake, emb: Experiments.Embedded): Seq[Experiments.MemoryRow] =
-    Experiments.memoryOverhead(lake, emb)
 
   def renderT6(lakeMb: Double, rows: Seq[Experiments.MemoryRow]): String =
     (f"Data lake size: $lakeMb%.1f MB" ::
@@ -174,10 +159,6 @@ object Tables {
 
   // ---- Fig 10: scalability ---------------------------------------------------
 
-  def fig10(lake: Lake, emb: Experiments.Embedded, k: Int,
-            sizes: Seq[Int], nQueries: Int): Seq[(Int, String, Double, Double)] =
-    Experiments.scalability(lake, emb, k, sizes, nQueries)
-
   def renderFig10(rows: Seq[(Int, String, Double, Double)]): String =
     ("| Lake size (tables) | Technique | Avg query (ms) | Avg verifications |" ::
      "|---|---|---|---|" ::
@@ -191,6 +172,4 @@ object Tables {
                     spark: Option[SparkSession] = None): Seq[Experiments.Embedded] =
     Seq(models.starmie, models.sato, models.sherlock, models.singleCol)
       .map(enc => Experiments.embedLake(lake, enc, spark))
-
-  def defaultEffectivenessProfiles: Seq[Profile] = Benchmarks.effectiveness
 }

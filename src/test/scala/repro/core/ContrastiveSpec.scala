@@ -123,4 +123,30 @@ class ContrastiveSpec extends AnyFunSuite {
     val w2 = Contrastive.trainMultiColumn(corpus, feat, cfg)
     assert(w1.flatten.toSeq == w2.flatten.toSeq)
   }
+
+  test("trained weights are pinned bit for bit for a fixed seed") {
+    // Literals captured by running these two trainings at commit 53129aa,
+    // before the NT-Xent similarity matrix moved to Matching.simMatrix.
+    // `hash` is java.util.Arrays.hashCode over all entries' float bits, so it
+    // pins every weight; the picked entries and the sum say where a change
+    // lands.
+    val corpus = homographCorpus(3)
+    val cfg = Contrastive.TrainConfig(embedDim = 8, epochs = 2, maxSteps = 10)
+    def pinned(w: Array[Array[Float]], picks: Seq[((Int, Int), Float)], sum: Double,
+               hash: Int): Unit = {
+      picks.foreach { case ((r, c), v) => assert(w(r)(c) == v, s"w($r)($c)") }
+      assert(w.flatten.map(_.toDouble).sum == sum)
+      assert(java.util.Arrays.hashCode(w.flatten) == hash)
+    }
+    val multi = Contrastive.trainMultiColumn(corpus, feat, cfg)
+    assert(multi.length == 8 && multi(0).length == 152)
+    pinned(multi, Seq((0, 0) -> 0.115644015f, (1, 7) -> -0.093571894f,
+      (3, 40) -> -0.19462283f, (5, 76) -> 0.19471017f, (7, 151) -> 0.04261395f),
+      sum = -3.230444838554831, hash = 1778743052)
+    val single = Contrastive.trainSingleColumn(corpus, feat, cfg)
+    assert(single.length == 8 && single(0).length == 76)
+    pinned(single, Seq((0, 0) -> 0.30460823f, (1, 7) -> 0.113893464f,
+      (3, 40) -> -0.099623024f, (5, 38) -> 0.1971232f, (7, 75) -> -0.041542f),
+      sum = 1.8074211701750755, hash = 1766818065)
+  }
 }

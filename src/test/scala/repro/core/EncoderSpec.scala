@@ -1,6 +1,21 @@
 package repro.core
 
+import org.apache.spark.sql.functions.rand
 import repro.SparkSpec
+
+/** Test encoder whose vector for a column depends on the column's name and on
+  * its values in row order, so a renamed, reordered or regrouped column shows.
+  * Top level, so that Spark can serialize it without the spec.
+  */
+private final class RowOrderEncoder extends ColumnEncoder {
+  val name = "row-order"
+  val dim  = 2
+  def encodeTable(t: TableData): IndexedSeq[Array[Float]] =
+    t.columns.map { c =>
+      val h = (c.name +: c.values).hashCode
+      Array((h >>> 16).toFloat, (h & 0xffff).toFloat)
+    }
+}
 
 class EncoderSpec extends SparkSpec {
 
@@ -51,12 +66,31 @@ class EncoderSpec extends SparkSpec {
     val enc = mkStarmie
     val cellDf = TableModel.toCellDf(spark, tables)
     val viaSpark = Encoder.collectEmbeddings(Encoder.inferDf(spark, cellDf, enc))
-    val viaDriver = Encoder.embedAll(tables, enc)
+    val viaDriver = tables.map(t => t.id -> enc.encodeTable(t)).toMap
     assert(viaSpark.keySet == viaDriver.keySet)
     viaSpark.foreach { case (tid, embs) =>
       embs.zip(viaDriver(tid)).foreach { case (a, b) =>
         a.zip(b).foreach { case (x, y) => assert(math.abs(x - y) < 1e-5) }
       }
+    }
+  }
+
+  test("toCellDf + inferDf keep column names and row order (row-order encoder)") {
+    val rnd = new scala.util.Random(4)
+    val corpus = (0 until 6).map { t =>
+      TableData(s"t$t", IndexedSeq.tabulate(1 + t % 3) { c =>
+        ColumnData(s"c$t$c", IndexedSeq.fill(40)(s"v${rnd.nextInt(1000)}"))
+      })
+    }
+    val enc = new RowOrderEncoder
+    // inferDf may receive cells in any order; shuffle them to make sure
+    val cells = TableModel.toCellDf(spark, corpus).orderBy(rand(7))
+    val viaSpark = Encoder.collectEmbeddings(Encoder.inferDf(spark, cells, enc))
+    assert(viaSpark.keySet == corpus.map(_.id).toSet)
+    corpus.foreach { t =>
+      val expected = enc.encodeTable(t)
+      assert(viaSpark(t.id).size == expected.size, t.id)
+      viaSpark(t.id).zip(expected).foreach { case (a, b) => assert(a.sameElements(b), t.id) }
     }
   }
 

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.index.{Hnsw, SimHashLsh}
+import repro.index.{Hnsw, SimHashLsh, VectorIndex}
 import scala.util.Random
 
 class SearchSpec extends AnyFunSuite {
@@ -134,5 +136,84 @@ class SearchSpec extends AnyFunSuite {
     val q = IndexedSeq.fill(3)(Linalg.normalize(Array.fill(16)(rnd.nextGaussian().toFloat)))
     val res = searcher.queryPruning(q, 5)
     assert(res.ranked.size == 5)
+  }
+
+  test("UnionSearcher rejects duplicate table ids, naming the id") {
+    val dup = lake.take(3) :+ ("g0t1" -> lake(5)._2)
+    val e = intercept[IllegalArgumentException](new UnionSearcher(dup, tau = 0.5))
+    assert(e.getMessage.contains("UnionSearcher: duplicate table id 'g0t1'"), e.getMessage)
+  }
+
+  /** A random small lake, a query, τ and k for the search properties. */
+  private final class Case(val lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
+                           val q: IndexedSeq[Array[Float]], val tau: Double, val k: Int)
+
+  /** Ordinary columns live in the first three coordinates. A "far" table is
+    * the single column e₃, orthogonal to them, so against an ordinary query it
+    * has no τ-surviving edge and scores 0. Copies of earlier tables under new
+    * ids tie with their originals. Ids are shuffled against lake order, so
+    * the id tie-break is not the scan order. k runs from 1 to beyond the lake
+    * size.
+    */
+  private val caseGen: Gen[Case] = for {
+    seed     <- Gen.choose(0L, Long.MaxValue)
+    n        <- Gen.choose(1, 10)
+    tau      <- Gen.choose(0.2, 0.8)
+    extraK   <- Gen.choose(0, n + 3)
+    fromLake <- Gen.oneOf(true, false)
+  } yield {
+    val rnd = new Random(seed)
+    def column(): Array[Float] = Linalg.normalize(Array(
+      rnd.nextGaussian().toFloat, rnd.nextGaussian().toFloat, rnd.nextGaussian().toFloat, 0f))
+    def table(): IndexedSeq[Array[Float]] = IndexedSeq.fill(1 + rnd.nextInt(4))(column())
+    val far = IndexedSeq(Array(0f, 0f, 0f, 1f))
+    val tables = (0 until n).foldLeft(IndexedSeq.empty[IndexedSeq[Array[Float]]]) { (acc, _) =>
+      acc :+ (rnd.nextInt(4) match {
+        case 0 if acc.nonEmpty => acc(rnd.nextInt(acc.size))
+        case 1                 => far
+        case _                 => table()
+      })
+    }
+    val q = if (fromLake) tables(rnd.nextInt(n)) else table()
+    val ids = rnd.shuffle((0 until n).map(i => s"t$i"))
+    new Case(ids.zip(tables), q, tau, 1 + extraK)
+  }
+
+  private def check(prop: Prop): Unit =
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop).passed)
+
+  test("the search-property lakes contain zero and positive score ties") {
+    val ranked = (1L to 200L).map { i =>
+      val c = caseGen.pureApply(Gen.Parameters.default, Seed(i))
+      new UnionSearcher(c.lake, c.tau).queryLinear(c.q, c.lake.size).ranked.map(_._2)
+    }
+    def tied(scores: Seq[Double], zero: Boolean) =
+      scores.filter(s => (s == 0.0) == zero).groupBy(identity).exists(_._2.size > 1)
+    assert(ranked.exists(tied(_, zero = true)))
+    assert(ranked.exists(tied(_, zero = false)))
+  }
+
+  test("Pruning returns exactly Linear's ranked list, ties included (property)") {
+    check(Prop.forAll(caseGen) { c =>
+      val searcher = new UnionSearcher(c.lake, c.tau)
+      val linear = searcher.queryLinear(c.q, c.k).ranked
+      linear.size == math.min(c.k, c.lake.size) &&
+        searcher.queryPruning(c.q, c.k).ranked == linear
+    })
+  }
+
+  test("index answers lie inside the candidate tables and score exactly verify (property)") {
+    val indexes = Seq[Int => VectorIndex](d => new Hnsw(d, m = 4, seed = 3),
+                                          d => new SimHashLsh(d, seed = 3))
+    check(Prop.forAll(caseGen) { c =>
+      val searcher = new UnionSearcher(c.lake, c.tau)
+      indexes.forall { mk =>
+        val index = Search.buildColumnIndex(c.lake, mk)
+        val cands = index.candidateTables(c.q, c.tau, probe = 64).toSet
+        searcher.queryWithIndex(c.q, c.k, index).ranked.forall { case (tid, u) =>
+          cands(tid) && u == searcher.verify(c.q, tid)
+        }
+      }
+    })
   }
 }

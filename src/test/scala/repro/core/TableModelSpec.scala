@@ -27,17 +27,8 @@ class TableModelSpec extends SparkSpec {
       "cells" -> cellDf)
   }
 
-  test("fromCellDf round-trips the corpus") {
-    val df = TableModel.toCellDf(spark, tables)
-    val back = TableModel.fromCellDf(df)
-    assert(back.sortBy(_.id) == tables.sortBy(_.id))
-  }
-
-  test("toColumnDf carries token arrays") {
-    val df = TableModel.toColumnDf(spark, tables)
-    assert(df.count() == 3)
-    val row = df.filter("table_id = 't1' and col_idx = 0").head()
-    assert(row.getSeq[String](3) == Seq("x", "y"))
+  test("ColumnData tokens concatenate cell tokens in row order") {
+    assert(ColumnData("c", IndexedSeq("a b", "c")).tokens == Seq("a", "b", "c"))
   }
 
   test("ColumnData numeric detection") {

@@ -24,10 +24,6 @@ class TokenizerSpec extends AnyFunSuite {
     assert(Tokenizer.tokenize("--- !!").isEmpty)
   }
 
-  test("tokenizeColumn concatenates in row order") {
-    assert(Tokenizer.tokenizeColumn(Seq("a b", "c")) == Seq("a", "b", "c"))
-  }
-
   test("isNumeric accepts ints, decimals and signs") {
     assert(Tokenizer.isNumeric("42"))
     assert(Tokenizer.isNumeric("-3.5"))

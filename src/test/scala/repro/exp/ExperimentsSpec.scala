@@ -22,14 +22,12 @@ class ExperimentsSpec extends SparkSpec {
   private lazy val full = Experiments.effectiveness(tiny, None, quickTrain)
 
   test("effectiveness produces a row per method") {
-    val (_, _, rows) = full
-    assert(rows.map(_.method).toSet ==
+    assert(full.rows.map(_.method).toSet ==
       Set("starmie", "singlecol", "sato", "sherlock", "santos", "d3l"))
   }
 
   test("all metric values are within [0,1]") {
-    val (_, _, rows) = full
-    rows.foreach { r =>
+    full.rows.foreach { r =>
       assert(r.map >= 0 && r.map <= 1, r)
       assert(r.p >= 0 && r.p <= 1, r)
       assert(r.r >= 0 && r.r <= 1 + 1e-9, r)
@@ -38,41 +36,37 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("starmie is competitive with every baseline at tiny scale") {
-    val (_, _, rows) = full
-    val starmie = rows.find(_.method == "starmie").get.map
-    rows.filterNot(_.method == "starmie").foreach { r =>
+    val starmie = full.rows.find(_.method == "starmie").get.map
+    full.rows.filterNot(_.method == "starmie").foreach { r =>
       assert(starmie >= r.map - 0.15, s"starmie $starmie vs ${r.method} ${r.map}")
     }
   }
 
   test("santosAvailable=false drops the santos row") {
     val noSantos = tiny.copy(santosAvailable = false)
-    val (_, _, rows) = Experiments.effectiveness(noSantos, None, quickTrain)
-    assert(!rows.exists(_.method == "santos"))
+    val res = Experiments.effectiveness(noSantos, None, quickTrain)
+    assert(!res.rows.exists(_.method == "santos"))
   }
 
   test("Linear and Pruning design choices agree on MAP") {
-    val (lake, models, _) = full
-    val emb = Experiments.embedLake(lake, models.starmie)
-    val rows = Experiments.designChoices(lake, emb, tiny.k)
-    val linear  = rows.find(_.method.endsWith("/Linear")).get
-    val pruning = rows.find(_.method.endsWith("/Pruning")).get
+    val emb = Experiments.embedLake(full.lake, full.models.starmie)
+    val rows = Experiments.designChoices(full.lake, emb, tiny.k).toMap
+    val linear  = rows(Experiments.Linear)
+    val pruning = rows(Experiments.Pruning)
     assert(math.abs(linear.map - pruning.map) < 1e-9)
     assert(pruning.avgVerifications < linear.avgVerifications)
   }
 
   test("index design choices trade bounded effectiveness for speed") {
-    val (lake, models, _) = full
-    val emb = Experiments.embedLake(lake, models.starmie)
-    val rows = Experiments.designChoices(lake, emb, tiny.k)
-    val linear = rows.find(_.method.endsWith("/Linear")).get
-    val hnsw   = rows.find(_.method.endsWith("/HNSW")).get
+    val emb = Experiments.embedLake(full.lake, full.models.starmie)
+    val rows = Experiments.designChoices(full.lake, emb, tiny.k).toMap
+    val linear = rows(Experiments.Linear)
+    val hnsw   = rows(Experiments.HnswIdx)
     assert(hnsw.map >= linear.map - 0.3)
   }
 
   test("negativeClasses sweeps the configured class counts") {
-    val (lake, models, _) = full
-    val sweep = Experiments.negativeClasses(lake, models.feat, Seq(2, 4, 6),
+    val sweep = Experiments.negativeClasses(full.lake, full.models.feat, Seq(2, 4, 6),
       quickTrain.copy(maxSteps = 30, epochs = 4))
     assert(sweep.map(_._1) == Seq(2, 4, 6))
     sweep.foreach { case (_, m60, m120) =>
@@ -81,9 +75,8 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("memoryOverhead reports all three design choices") {
-    val (lake, models, _) = full
-    val emb = Experiments.embedLake(lake, models.starmie)
-    val rows = Experiments.memoryOverhead(lake, emb)
+    val emb = Experiments.embedLake(full.lake, full.models.starmie)
+    val rows = Experiments.memoryOverhead(full.lake, emb)
     assert(rows.map(_.method) == Seq("No Index", "LSH Index", "HNSW Index"))
     rows.foreach(r => assert(r.memBytes > 0 && r.overheadPct > 0))
     // index variants hold the vectors too, so they cost at least as much
@@ -92,19 +85,16 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("scalability reports the four modes per size") {
-    val (lake, models, _) = full
-    val emb = Experiments.embedLake(lake, models.starmie)
-    val rows = Experiments.scalability(lake, emb, k = 5, sizes = Seq(16, 64), nQueries = 3)
+    val emb = Experiments.embedLake(full.lake, full.models.starmie)
+    val rows = Experiments.scalability(full.lake, emb, k = 5, sizes = Seq(16, 64), nQueries = 3)
     assert(rows.size == 8)
-    assert(rows.map(_._2).distinct.toSet ==
-      Set("Linear", "Pruning", "LSH Index", "HNSW Index"))
+    assert(rows.map(_._2).distinct.toSet == Set("Linear", "Pruning", "LSH", "HNSW"))
     rows.foreach { case (_, _, ms, _) => assert(ms >= 0) }
   }
 
   test("Spark-pipeline embeddings equal driver embeddings end-to-end") {
-    val (lake, models, _) = full
-    val viaSpark  = Experiments.embedLake(lake, models.starmie, Some(spark))
-    val viaDriver = Experiments.embedLake(lake, models.starmie)
+    val viaSpark  = Experiments.embedLake(full.lake, full.models.starmie, Some(spark))
+    val viaDriver = Experiments.embedLake(full.lake, full.models.starmie)
     assert(viaSpark.lake.map(_._1) == viaDriver.lake.map(_._1))
     viaSpark.lake.zip(viaDriver.lake).foreach { case ((_, a), (_, b)) =>
       a.zip(b).foreach { case (x, y) =>
