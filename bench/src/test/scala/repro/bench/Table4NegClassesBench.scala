@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Metrics
 import repro.exp.{Experiments, Tables}
 
 /** Table 4 — micro-benchmark: Starmie MAP on 470-table lakes with 25%

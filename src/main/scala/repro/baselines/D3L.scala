@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.core._
+import repro.index.SimHashLsh
 import scala.collection.mutable
 
 /** D3L baseline (Bogatu et al., ICDE'20) — an ensemble of per-column
@@ -79,16 +80,9 @@ object D3L {
       lake.iterator.map(t => t.id -> t.columns.map(signature)).toMap
 
     private val feat = new Featurizer()
-    private val lsh = {
-      val idx = new repro.index.SimHashLsh(feat.cfg.hashDim, lshTables, lshBits, seed = 19)
-      var id = 0
-      lake.foreach { t =>
-        t.columns.foreach { c => idx.add(id, feat.hashedTokens(c.tokens)); id += 1 }
-      }
-      idx
-    }
-    private val colOwner: IndexedSeq[String] =
-      lake.flatMap(t => t.columns.map(_ => t.id))
+    private val index = Search.buildColumnIndex(
+      lake.map(t => t.id -> t.columns.map(c => feat.hashedTokens(c.tokens))),
+      d => new SimHashLsh(d, lshTables, lshBits, seed = 19))
 
     def tableScore(q: TableData, tid: String): Double = {
       val qs = q.columns.map(signature)
@@ -98,13 +92,8 @@ object D3L {
     }
 
     def query(q: TableData, k: Int): IndexedSeq[(String, Double)] = {
-      val cands = mutable.LinkedHashSet[String]()
-      q.columns.foreach { c =>
-        lsh.search(feat.hashedTokens(c.tokens), 64).foreach { case (colId, _) =>
-          cands += colOwner(colId)
-        }
-      }
-      cands.toIndexedSeq
+      val qCols = q.columns.map(c => feat.hashedTokens(c.tokens))
+      index.candidateTables(qCols, Double.NegativeInfinity, 64)
         .map(tid => tid -> tableScore(q, tid))
         .sortBy(-_._2).take(k)
     }

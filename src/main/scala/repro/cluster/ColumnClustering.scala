@@ -1,6 +1,6 @@
 package repro.cluster
 
-import repro.core.{ColumnEncoder, Linalg}
+import repro.core.ColumnEncoder
 import repro.index.Hnsw
 import repro.lake.LakeGen.Lake
 import scala.collection.mutable

@@ -2,22 +2,28 @@ package repro.core
 
 import scala.util.Random
 
-/** Table-level data augmentation operators (paper Table 1 + Appendix B.1).
+/** Table-level data augmentation (paper Table 1 + Appendix B.1).
   *
-  * Each operator returns the augmented view together with the column
-  * alignment `augIdx -> origIdx`: in the multi-column contrastive setting the
-  * aligned pairs form the positives of Eq. 3 (Figure 5 of the paper).
+  * The paper picks one operator by ablation and trains with it; on SANTOS
+  * that is drop_col, the default here. drop_cell and the column-level
+  * operators are kept; the token- and row-level ones are not (DESIGN.md §2).
+  * An operator returns the augmented view together with the column alignment
+  * `augIdx -> origIdx`: in the multi-column contrastive setting the aligned
+  * pairs form the positives of Eq. 3 (Figure 5 of the paper).
   */
 object Augment {
 
   /** Augmented view of a table plus the alignment of its columns to the
-    * columns of the original table.
+    * columns of the original table, with distinct, in-range indices. Column
+    * `j` of the view is original column `alignment(j)`, either unchanged
+    * (the column-level operators return a column selection,
+    * `table.columns == alignment.map(original.columns)`) or with some cells
+    * rewritten (drop_cell). Training reuses the original's own-column
+    * features for every unchanged column ([[Featurizer.viewInputs]]).
     */
   final case class View(table: TableData, alignment: IndexedSeq[Int])
 
   type Op = (TableData, Random) => View
-
-  private def identityAlign(t: TableData): IndexedSeq[Int] = t.columns.indices
 
   /** drop_cell — blank a random cell in each column (cell-level). */
   def dropCell(t: TableData, rnd: Random): View = {
@@ -28,75 +34,7 @@ object Augment {
         c.copy(values = c.values.updated(i, ""))
       }
     }
-    View(t.copy(columns = cols), identityAlign(t))
-  }
-
-  /** drop_token — drop a random token inside a random cell of each column. */
-  def dropToken(t: TableData, rnd: Random): View = {
-    val cols = t.columns.map { c =>
-      val multi = c.values.zipWithIndex.filter(_._1.trim.contains(" "))
-      if (multi.isEmpty) c
-      else {
-        val (v, i) = multi(rnd.nextInt(multi.size))
-        val toks   = v.split("\\s+").toBuffer
-        toks.remove(rnd.nextInt(toks.size))
-        c.copy(values = c.values.updated(i, toks.mkString(" ")))
-      }
-    }
-    View(t.copy(columns = cols), identityAlign(t))
-  }
-
-  /** swap_token — swap two tokens inside a random multi-token cell. */
-  def swapToken(t: TableData, rnd: Random): View = {
-    val cols = t.columns.map { c =>
-      val multi = c.values.zipWithIndex.filter(_._1.trim.contains(" "))
-      if (multi.isEmpty) c
-      else {
-        val (v, i) = multi(rnd.nextInt(multi.size))
-        val toks   = v.split("\\s+").toBuffer
-        val a = rnd.nextInt(toks.size); val b = rnd.nextInt(toks.size)
-        val tmp = toks(a); toks(a) = toks(b); toks(b) = tmp
-        c.copy(values = c.values.updated(i, toks.mkString(" ")))
-      }
-    }
-    View(t.copy(columns = cols), identityAlign(t))
-  }
-
-  /** repl_token — replace a random token with a token drawn from the same
-    * column (semantics-preserving: values stay within the column's domain).
-    */
-  def replToken(t: TableData, rnd: Random): View = {
-    val cols = t.columns.map { c =>
-      if (c.values.size < 2) c
-      else {
-        val i = rnd.nextInt(c.values.size)
-        val j = rnd.nextInt(c.values.size)
-        c.copy(values = c.values.updated(i, c.values(j)))
-      }
-    }
-    View(t.copy(columns = cols), identityAlign(t))
-  }
-
-  /** sample_row — keep a random `frac` of the rows (order not preserved). */
-  def sampleRow(frac: Double)(t: TableData, rnd: Random): View = {
-    val nRows = t.numRows
-    val keepN = math.max(1, (nRows * frac).toInt)
-    val keep  = rnd.shuffle((0 until nRows).toIndexedSeq).take(keepN)
-    View(projectRows(t, keep), identityAlign(t))
-  }
-
-  /** sample_row_ordered — like sample_row, preserving original row order. */
-  def sampleRowOrdered(frac: Double)(t: TableData, rnd: Random): View = {
-    val nRows = t.numRows
-    val keepN = math.max(1, (nRows * frac).toInt)
-    val keep  = rnd.shuffle((0 until nRows).toIndexedSeq).take(keepN).sorted
-    View(projectRows(t, keep), identityAlign(t))
-  }
-
-  /** shuffle_row — permute the row order of the whole table consistently. */
-  def shuffleRow(t: TableData, rnd: Random): View = {
-    val perm = rnd.shuffle((0 until t.numRows).toIndexedSeq)
-    View(projectRows(t, perm), identityAlign(t))
+    View(t.copy(columns = cols), t.columns.indices)
   }
 
   /** drop_col — drop a random non-empty subset of columns (at most half,
@@ -104,7 +42,7 @@ object Augment {
     * best operator on SANTOS Small.
     */
   def dropCol(t: TableData, rnd: Random): View = {
-    if (t.numCols <= 1) return View(t, identityAlign(t))
+    if (t.numCols <= 1) return View(t, t.columns.indices)
     val nDrop = 1 + rnd.nextInt(math.max(1, t.numCols / 2))
     val drop  = rnd.shuffle(t.columns.indices.toIndexedSeq).take(nDrop).toSet
     val keep  = t.columns.indices.filterNot(drop.contains).toIndexedSeq
@@ -115,7 +53,7 @@ object Augment {
   def dropNumCol(t: TableData, rnd: Random): View = {
     val numeric = t.columns.indices.filter(i => t.columns(i).isNumeric)
     if (numeric.isEmpty || numeric.size == t.numCols)
-      return View(t, identityAlign(t))
+      return View(t, t.columns.indices)
     val nDrop = 1 + rnd.nextInt(numeric.size)
     val drop  = rnd.shuffle(numeric.toIndexedSeq).take(nDrop).toSet
     val keep  = t.columns.indices.filterNot(drop.contains).toIndexedSeq
@@ -133,7 +71,7 @@ object Augment {
       }
     }
     val keep = t.columns.indices.filterNot(i => mostlyNan(t.columns(i))).toIndexedSeq
-    if (keep.isEmpty || keep.size == t.numCols) View(t, identityAlign(t))
+    if (keep.isEmpty || keep.size == t.numCols) View(t, t.columns.indices)
     else View(t.copy(columns = keep.map(t.columns)), keep)
   }
 
@@ -145,21 +83,10 @@ object Augment {
 
   /** Operator registry keyed by the paper's operator names. */
   val byName: Map[String, Op] = Map(
-    "drop_cell"          -> (dropCell _),
-    "drop_token"         -> (dropToken _),
-    "swap_token"         -> (swapToken _),
-    "repl_token"         -> (replToken _),
-    "sample_row"         -> sampleRow(0.5) _,
-    "sample_row_ordered" -> sampleRowOrdered(0.5) _,
-    "shuffle_row"        -> (shuffleRow _),
-    "drop_col"           -> (dropCol _),
-    "drop_num_col"       -> (dropNumCol _),
-    "drop_nan_col"       -> (dropNanCol _),
-    "shuffle_col"        -> (shuffleCol _),
+    "drop_cell"    -> (dropCell _),
+    "drop_col"     -> (dropCol _),
+    "drop_num_col" -> (dropNumCol _),
+    "drop_nan_col" -> (dropNanCol _),
+    "shuffle_col"  -> (shuffleCol _),
   )
-
-  private def projectRows(t: TableData, rows: IndexedSeq[Int]): TableData =
-    t.copy(columns = t.columns.map { c =>
-      c.copy(values = rows.collect { case r if r < c.values.size => c.values(r) })
-    })
 }

@@ -136,10 +136,13 @@ object Contrastive {
     */
   def trainMultiColumn(tables: Seq[TableData], feat: Featurizer,
                        cfg: TrainConfig = TrainConfig()): Array[Array[Float]] = {
+    require(Augment.byName.contains(cfg.op),
+      s"trainMultiColumn: unknown augmentation operator '${cfg.op}'; known: " +
+        Augment.byName.keys.toSeq.sorted.mkString(", "))
+    val op  = Augment.byName(cfg.op)
     val rnd = new Random(cfg.seed)
     val w0  = Linalg.randomMatrix(cfg.embedDim, feat.cfg.contextDim, cfg.seed + 1)
     val w   = w0.map(_.clone())
-    val op  = Augment.byName(cfg.op)
     var steps = 0
     var ep = 0
     while (ep < cfg.epochs && steps < cfg.maxSteps) {
@@ -150,10 +153,13 @@ object Contrastive {
           val pos = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
           batch.foreach { t =>
             val view    = op(t, rnd)
+            // the view's unchanged columns reuse the original's own-column
+            // features (Augment.View)
+            val own     = t.columns.map(feat.columnFeatures)
             val oriBase = xs.size
-            xs ++= feat.tableInputs(t).map(applyDropout(_, cfg.dropout, rnd))
+            xs ++= feat.contextInputs(own).map(applyDropout(_, cfg.dropout, rnd))
             val augBase = xs.size
-            xs ++= feat.tableInputs(view.table).map(applyDropout(_, cfg.dropout, rnd))
+            xs ++= feat.viewInputs(t, own, view).map(applyDropout(_, cfg.dropout, rnd))
             view.alignment.zipWithIndex.foreach { case (origIdx, augIdx) =>
               pos += ((oriBase + origIdx, augBase + augIdx))
             }

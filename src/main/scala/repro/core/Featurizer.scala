@@ -109,9 +109,15 @@ class Featurizer(val cfg: FeatConfig = FeatConfig()) extends Serializable {
   /** Contextualized encoder inputs for every column of a table:
     * x_i = [own_i ; ctxWeight · context_i], dimension [[FeatConfig.contextDim]].
     */
-  def tableInputs(t: TableData): IndexedSeq[Array[Float]] = {
-    val own = t.columns.map(columnFeatures)
-    t.columns.indices.map { i =>
+  def tableInputs(t: TableData): IndexedSeq[Array[Float]] =
+    contextInputs(t.columns.map(columnFeatures))
+
+  /** [[tableInputs]] from the columns' own feature blocks, in column order.
+    * A column's own block depends on that column alone, so the inputs of a
+    * column selection are `contextInputs(kept.map(own))`.
+    */
+  def contextInputs(own: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] =
+    own.indices.map { i =>
       val x = new Array[Float](cfg.contextDim)
       System.arraycopy(own(i), 0, x, 0, cfg.colDim)
       val ctx = contextFeatures(own, i)
@@ -119,7 +125,19 @@ class Featurizer(val cfg: FeatConfig = FeatConfig()) extends Serializable {
       while (k < cfg.colDim) { x(cfg.colDim + k) = cfg.ctxWeight * ctx(k); k += 1 }
       x
     }
-  }
+
+  /** [[tableInputs]] of `view`, an augmented view of `t`, given `own`, the
+    * own feature blocks of `t`'s columns: a view column equal to its
+    * original reuses that column's block, and only rewritten columns are
+    * featurized again.
+    */
+  def viewInputs(t: TableData, own: IndexedSeq[Array[Float]],
+                 view: Augment.View): IndexedSeq[Array[Float]] =
+    contextInputs(view.alignment.indices.map { j =>
+      val c = view.table.columns(j)
+      val o = view.alignment(j)
+      if (c == t.columns(o)) own(o) else columnFeatures(c)
+    })
 
   /** Whole-table token distribution — the SATO "topic" stand-in. */
   def tableTopic(t: TableData): Array[Float] =

@@ -14,20 +14,24 @@ final case class ColumnData(name: String, values: IndexedSeq[String]) {
   def isNumeric: Boolean = numericFraction >= 0.5
 }
 
-/** A data-lake table: an id plus an ordered list of columns. */
+/** A data-lake table: an id plus an ordered, non-empty list of columns. */
 final case class TableData(id: String, columns: IndexedSeq[ColumnData]) {
+  require(columns.nonEmpty, s"TableData: table '$id' has no columns")
   def numCols: Int = columns.size
-  def numRows: Int = if (columns.isEmpty) 0 else columns.map(_.values.size).max
+  def numRows: Int = columns.map(_.values.size).max
 }
 
 object TableModel {
 
   /** Cell-level DataFrame view of a corpus: one row per (table, column, row)
-    * cell. This is the relational backbone used by the Spark TF-IDF job
-    * (Algorithm 2) and the embedding-inference pipeline.
+    * cell, the input of the embedding-inference pipeline. A column without
+    * values would leave no row, and `Encoder.inferDf` would then give its
+    * index to the next column, so such a column is rejected.
     */
   def toCellDf(spark: SparkSession, tables: Seq[TableData]): DataFrame = {
     import spark.implicits._
+    for (t <- tables; (c, ci) <- t.columns.zipWithIndex)
+      require(c.values.nonEmpty, s"toCellDf: column $ci of table '${t.id}' has no values")
     val rows = tables.iterator.flatMap { t =>
       t.columns.iterator.zipWithIndex.flatMap { case (c, ci) =>
         c.values.iterator.zipWithIndex.map { case (v, ri) =>

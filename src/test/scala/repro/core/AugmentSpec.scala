@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -14,13 +15,35 @@ class AugmentSpec extends AnyFunSuite {
 
   private def rnd = new Random(12)
 
+  /** A table of 1–8 columns with distinct names (so equal columns are the
+    * same column) and 0–5 values each, plus the seed the operator draws from.
+    */
+  private val tableGen: Gen[(TableData, Long)] = for {
+    nCols <- Gen.choose(1, 8)
+    seed  <- Gen.choose(0L, Long.MaxValue)
+  } yield {
+    val r = new Random(seed)
+    val cols = IndexedSeq.tabulate(nCols)(i =>
+      ColumnData(s"c$i", IndexedSeq.fill(r.nextInt(6))(r.nextInt(20).toString)))
+    (TableData(s"t$seed", cols), seed)
+  }
+
+  /** The operators whose views are column selections. */
+  private val selections = Set("drop_col", "drop_num_col", "drop_nan_col", "shuffle_col")
+
   test("every operator preserves the alignment contract") {
-    Augment.byName.foreach { case (name, op) =>
-      val v = op(mkTable, rnd)
-      assert(v.alignment.size == v.table.numCols, s"$name alignment size")
-      v.alignment.foreach(i => assert(i >= 0 && i < mkTable.numCols, s"$name alignment range"))
-      assert(v.alignment.distinct.size == v.alignment.size, s"$name alignment unique")
+    val prop = Prop.forAll(tableGen) { case (t, seed) =>
+      Augment.byName.forall { case (name, op) =>
+        val v       = op(t, new Random(seed))
+        val aligned = v.alignment.map(t.columns)
+        v.alignment.size == v.table.numCols &&
+          v.alignment.distinct.size == v.alignment.size &&
+          v.alignment.forall(i => i >= 0 && i < t.numCols) &&
+          (if (selections(name)) v.table.columns == aligned
+           else v.table.columns.map(_.name) == aligned.map(_.name))
+      }
     }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop).passed)
   }
 
   test("drop_cell keeps column count and row count") {
@@ -32,53 +55,6 @@ class AugmentSpec extends AnyFunSuite {
     val v = Augment.dropCell(mkTable, rnd)
     val c0 = v.table.columns(2) // "since" column has no empty original cells
     assert(c0.values.count(_ == "") == 1)
-  }
-
-  test("drop_token removes one token from a multi-token cell") {
-    val v = Augment.dropToken(mkTable, rnd)
-    val orig  = mkTable.columns(0).tokens.size
-    val after = v.table.columns(0).tokens.size
-    assert(after == orig - 1)
-  }
-
-  test("swap_token preserves the token multiset") {
-    val v = Augment.swapToken(mkTable, rnd)
-    assert(v.table.columns(0).tokens.sorted == mkTable.columns(0).tokens.sorted)
-  }
-
-  test("repl_token keeps values within the column domain") {
-    val v = Augment.replToken(mkTable, rnd)
-    v.table.columns.zip(mkTable.columns).foreach { case (a, o) =>
-      a.values.foreach(x => assert(o.values.contains(x)))
-    }
-  }
-
-  test("sample_row halves the rows") {
-    val v = Augment.sampleRow(0.5)(mkTable, rnd)
-    assert(v.table.numRows == 2)
-    assert(v.table.numCols == 4)
-  }
-
-  test("sample_row keeps row alignment across columns") {
-    val v = Augment.sampleRow(0.5)(mkTable, rnd)
-    val states   = v.table.columns(0).values
-    val capitals = v.table.columns(1).values
-    states.zip(capitals).foreach { case (s, c) =>
-      val i = mkTable.columns(0).values.indexOf(s)
-      assert(mkTable.columns(1).values(i) == c)
-    }
-  }
-
-  test("sample_row_ordered preserves original row order") {
-    val v   = Augment.sampleRowOrdered(0.75)(mkTable, rnd)
-    val idx = v.table.columns(0).values.map(mkTable.columns(0).values.indexOf)
-    assert(idx == idx.sorted)
-  }
-
-  test("shuffle_row is a permutation of the rows") {
-    val v = Augment.shuffleRow(mkTable, rnd)
-    assert(v.table.columns(0).values.sorted == mkTable.columns(0).values.sorted)
-    assert(v.table.numRows == 4)
   }
 
   test("drop_col drops at least one and keeps at least one column") {
@@ -124,8 +100,7 @@ class AugmentSpec extends AnyFunSuite {
     }
   }
 
-  test("registry exposes all eleven operators of Table 1") {
-    assert(Augment.byName.size == 11)
-    assert(Augment.byName.keySet.contains("drop_col"))
+  test("registry holds drop_cell and the four column-level operators") {
+    assert(Augment.byName.keySet == Set("drop_cell") ++ selections)
   }
 }

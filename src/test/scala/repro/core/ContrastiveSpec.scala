@@ -116,6 +116,15 @@ class ContrastiveSpec extends AnyFunSuite {
     assert(Linalg.dot(purposeA, purposeB) > Linalg.dot(purposeA, species))
   }
 
+  test("multi-column training names an unknown augmentation operator") {
+    val cfg = Contrastive.TrainConfig(embedDim = 8, maxSteps = 1, op = "sample_row")
+    val e = intercept[IllegalArgumentException](
+      Contrastive.trainMultiColumn(homographCorpus(3), feat, cfg))
+    assert(e.getMessage.contains("unknown augmentation operator 'sample_row'; known: " +
+      "drop_cell, drop_col, drop_nan_col, drop_num_col, shuffle_col"),
+      e.getMessage)
+  }
+
   test("training is deterministic in the seed") {
     val corpus = homographCorpus(3)
     val cfg = Contrastive.TrainConfig(embedDim = 8, epochs = 2, maxSteps = 10)

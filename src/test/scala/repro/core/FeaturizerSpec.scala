@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 
 class FeaturizerSpec extends AnyFunSuite {
 
@@ -67,6 +68,44 @@ class FeaturizerSpec extends AnyFunSuite {
     assert(in.size == 2 && in.head.length == feat.cfg.contextDim)
     val own = feat.columnFeatures(t.columns(0))
     assert(in(0).take(feat.cfg.colDim).toSeq == own.toSeq)
+  }
+
+  /** 40 random tables of 1–7 columns with mixed text and numeric values. */
+  private def randomTables: Seq[TableData] = {
+    val rnd = new Random(5)
+    (0 until 40).map { s =>
+      TableData(s"t$s", IndexedSeq.tabulate(1 + rnd.nextInt(7))(i =>
+        col(IndexedSeq.fill(1 + rnd.nextInt(5))(
+          if (i % 3 == 2) rnd.nextInt(2000).toString
+          else s"v${rnd.nextInt(30)} w${rnd.nextInt(9)}"): _*)))
+    }
+  }
+
+  test("contextInputs of a column selection equals tableInputs of the view, float for float") {
+    val rnd = new Random(6)
+    randomTables.zipWithIndex.foreach { case (t, s) =>
+      val own = t.columns.map(feat.columnFeatures)
+      // the column-level operators' views, plus a selection in shuffled order
+      val sel   = rnd.shuffle(t.columns.indices.toIndexedSeq).take(1 + rnd.nextInt(t.numCols))
+      val views = Seq("drop_col", "drop_num_col", "drop_nan_col", "shuffle_col")
+        .map(Augment.byName(_)(t, new Random(s))) :+
+        Augment.View(t.copy(columns = sel.map(t.columns)), sel)
+      views.foreach { v =>
+        assert(feat.contextInputs(v.alignment.map(own)).map(_.toSeq) ==
+          feat.tableInputs(v.table).map(_.toSeq))
+      }
+    }
+  }
+
+  test("viewInputs equals tableInputs of every operator's view, float for float") {
+    randomTables.zipWithIndex.foreach { case (t, s) =>
+      val own = t.columns.map(feat.columnFeatures)
+      Augment.byName.foreach { case (name, op) =>
+        val v = op(t, new Random(s))
+        assert(feat.viewInputs(t, own, v).map(_.toSeq) == feat.tableInputs(v.table).map(_.toSeq),
+          s"$name on ${t.id}")
+      }
+    }
   }
 
   test("same values in different table contexts give different inputs") {

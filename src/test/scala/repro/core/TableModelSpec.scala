@@ -27,6 +27,18 @@ class TableModelSpec extends SparkSpec {
       "cells" -> cellDf)
   }
 
+  test("toCellDf rejects a column with no values, naming the table and column") {
+    val t = TableData("gap", IndexedSeq(
+      ColumnData("a", IndexedSeq("x")), ColumnData("b", IndexedSeq()), ColumnData("c", IndexedSeq("y"))))
+    val e = intercept[IllegalArgumentException](TableModel.toCellDf(spark, tables :+ t))
+    assert(e.getMessage.contains("column 1 of table 'gap' has no values"), e.getMessage)
+  }
+
+  test("TableData rejects a table with no columns, naming its id") {
+    val e = intercept[IllegalArgumentException](TableData("bare", IndexedSeq()))
+    assert(e.getMessage.contains("table 'bare' has no columns"), e.getMessage)
+  }
+
   test("ColumnData tokens concatenate cell tokens in row order") {
     assert(ColumnData("c", IndexedSeq("a b", "c")).tokens == Seq("a", "b", "c"))
   }

@@ -3,7 +3,6 @@ package repro.exp
 import repro.SparkSpec
 import repro.core.Contrastive
 import repro.lake.Benchmarks.Profile
-import repro.lake.LakeGen
 import repro.lake.LakeGen.LakeConfig
 
 class ExperimentsSpec extends SparkSpec {

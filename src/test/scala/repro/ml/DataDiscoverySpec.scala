@@ -1,7 +1,6 @@
 package repro.ml
 
 import repro.{Oracle, SparkSpec}
-import repro.core._
 
 class DataDiscoverySpec extends SparkSpec {
 
@@ -57,7 +56,6 @@ class DataDiscoverySpec extends SparkSpec {
   }
 
   test("augment implements the dedup-then-left-join semantics (oracle)") {
-    import org.apache.spark.sql.functions._
     val task = ml.tasks.head
     val r @ Some((tid, qi, tj)) =
       DataDiscoveryML.retrieveByTokenSim(task, ml.lake, DataDiscoveryML.overlap)
